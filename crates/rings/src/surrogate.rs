@@ -13,6 +13,17 @@
 //! couple of trace pushes per period instead of ~1.5 events per stage
 //! per half-period.
 //!
+//! Each period takes three standard-normal draws (flicker drive, white
+//! lap jitter, edge placement), all from [`SimRng::ziggurat_normal`].
+//! The event-driven simulation keeps the Box–Muller
+//! [`SimRng::standard_normal`] bit for bit, because `repro_all`'s
+//! golden output depends on its exact values; the surrogate only
+//! claims statistical equivalence, so it uses the cheaper exact
+//! sampler. A period costs about 20 ns (70–95 ns with Box–Muller), and
+//! a byte served at the default point (factor 8.37, `XorDecimate(2)`)
+//! about 134 periods. `docs/surrogate.md` gives the traced per-layer
+//! numbers.
+//!
 //! The surrogate claims **statistical** equivalence, not bit
 //! equivalence: the golden moments (period mean/σ, Allan deviation,
 //! lag-k autocorrelation), the SP 800-90B health verdicts and the
@@ -341,8 +352,25 @@ pub struct SurrogateStream {
 impl SurrogateStream {
     /// Creates the stream at `t = 0`, output low, first rising edge one
     /// drawn period in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mean period is not positive and finite, a jitter
+    /// standard deviation is negative or non-finite, or `flicker_rho` is
+    /// outside `[0, 1)` — a model from [`Calibrator`] never is.
     #[must_use]
     pub fn new(model: SurrogateModel, seed: u64) -> Self {
+        assert!(
+            model.period_mean_ps.is_finite() && model.period_mean_ps > 0.0,
+            "period_mean_ps must be positive, got {}",
+            model.period_mean_ps
+        );
+        for sigma in [model.sigma_white_ps, model.sigma_edge_ps] {
+            assert!(
+                sigma.is_finite() && sigma >= 0.0,
+                "sigma must be non-negative, got {sigma}"
+            );
+        }
         let mut stream = SurrogateStream {
             flicker: Ar1Process::new(model.flicker_rho, model.sigma_flicker_ps),
             rng: RngTree::new(seed).stream(SURROGATE_RNG_KEY),
@@ -404,7 +432,7 @@ impl SurrogateStream {
     /// mean.
     fn draw_period_ps(&mut self) -> f64 {
         let flicker = self.flicker.step(&mut self.rng);
-        let white = self.rng.normal(0.0, self.model.sigma_white_ps);
+        let white = self.model.sigma_white_ps * self.rng.ziggurat_normal();
         let period = self.model.period_mean_ps + flicker + white;
         period.max(0.05 * self.model.period_mean_ps)
     }
@@ -414,6 +442,13 @@ impl SurrogateStream {
     /// inside the new window. Mirrors [`RingStream::advance_by`].
     pub fn advance_by(&mut self, delta_ps: f64) -> Time {
         let horizon_ps = self.now.as_ps().max(self.consumed_until.as_ps()) + delta_ps;
+        // Two transitions per period. Reserving this advance's share (plus
+        // an eighth) sizes the trace once; growing it by doubling leaves
+        // a chain of freed, still-resident buffers behind in every slot.
+        let periods = (horizon_ps - self.next_rising_ps) / self.model.period_mean_ps;
+        if periods > 0.0 {
+            self.trace.reserve(((2.25 * periods) as usize).saturating_add(2));
+        }
         while self.next_rising_ps <= horizon_ps {
             self.emit_period();
         }
@@ -427,7 +462,7 @@ impl SurrogateStream {
     /// an observer of the trace would measure.
     fn emit_period(&mut self) -> f64 {
         let period = self.draw_period_ps();
-        let edge = self.rng.normal(0.0, self.model.sigma_edge_ps);
+        let edge = self.model.sigma_edge_ps * self.rng.ziggurat_normal();
         // The monotonicity clamp never binds for a calibrated model
         // (edge noise is orders of magnitude below the period); it only
         // guards deliberately corrupted models.

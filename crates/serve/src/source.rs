@@ -367,6 +367,32 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_slots_serve_the_bulk_point_cleanly_and_deterministically() {
+        // The service's default operating point (factor 8.37,
+        // XorDecimate(2), 256-bit batches), where the surrogate's
+        // per-period draws dominate the slot's cost.
+        let config = PoolConfig::mixed_default(3, 41).with_backend(SourceBackend::Surrogate);
+        assert_eq!(config.sample_period_factor, 8.37);
+        assert_eq!(config.conditioner, ConditionerKind::XorDecimate(2));
+        assert_eq!(config.batch_raw_bits, 256);
+        const MIN_BYTES: usize = 32 * 1024;
+        for (i, spec) in config.sources.iter().enumerate() {
+            let label = spec.ring.label();
+            let mut a = PooledSource::build(i, spec, &config).expect("builds");
+            let mut b = PooledSource::build(i, spec, &config).expect("builds");
+            assert_eq!(a.backend(), SourceBackend::Surrogate, "{label}");
+            let (mut served_a, mut served_b) = (Vec::new(), Vec::new());
+            while served_a.len() < MIN_BYTES {
+                served_a.extend(a.next_batch().expect("produces"));
+                served_b.extend(b.next_batch().expect("produces"));
+            }
+            assert!(served_a == served_b, "{label}: two builds diverge");
+            assert_eq!(a.stats().alarms, 0, "{label} raised a health alarm");
+            assert_eq!(a.state(), SourceState::Healthy);
+        }
+    }
+
+    #[test]
     fn delivered_bits_drive_the_published_estimate() {
         let spec = SourceSpec::new(RingSpec::Str32, 11);
         let mut config = test_config();

@@ -8,8 +8,9 @@
 //! autocorrelation, which is exactly the lag-1 structure a calibration
 //! run can fit reliably from a few hundred periods.
 //!
-//! Everything here draws from [`SimRng`], so a surrogate stream is as
-//! reproducible as the event-driven simulation it stands in for.
+//! Everything here draws from [`SimRng`] (its ziggurat sampler), so a
+//! surrogate stream is as reproducible as the event-driven simulation
+//! it stands in for.
 
 use crate::rng::SimRng;
 
@@ -90,9 +91,12 @@ impl Ar1Process {
         self.state
     }
 
-    /// Advances the process one step and returns the new value.
+    /// Advances the process one step and returns the new value. The
+    /// drive comes from [`SimRng::ziggurat_normal`]: the surrogate tier
+    /// is this process's caller, and it draws its normals there.
+    #[inline]
     pub fn step(&mut self, rng: &mut SimRng) -> f64 {
-        self.state = self.rho * self.state + rng.normal(0.0, self.drive_sigma);
+        self.state = self.rho * self.state + self.drive_sigma * rng.ziggurat_normal();
         self.state
     }
 }

@@ -4,6 +4,20 @@
 //! [`RngTree`]: each component derives an independent, stable stream keyed
 //! by its identifier. This keeps runs reproducible *and* insensitive to the
 //! order in which unrelated components draw numbers.
+//!
+//! [`SimRng`] carries two standard-normal samplers. Which one runs is
+//! fixed by the component that draws, never by a setting:
+//!
+//! * [`SimRng::standard_normal`] (Box–Muller) serves the event-driven
+//!   simulation. Every `repro_all` result and golden fixture depends on
+//!   its exact bits, so it stays bit-for-bit unchanged.
+//! * [`SimRng::ziggurat_normal`] (a 128-layer ziggurat) serves the
+//!   surrogate tier, which draws three normals per ring period and
+//!   claims only statistical equivalence. It takes one raw draw per
+//!   sample almost always, against a logarithm, a square root and a
+//!   sine/cosine pair per two samples for Box–Muller.
+
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -82,8 +96,9 @@ impl RngTree {
 /// A deterministic random stream with Gaussian sampling support.
 ///
 /// Wraps [`StdRng`] and adds a Box–Muller normal sampler (with spare
-/// caching), so the simulator does not need an external distributions
-/// crate.
+/// caching) and a ziggurat normal sampler, so the simulator does not
+/// need an external distributions crate. See the module docs for which
+/// component uses which.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: StdRng,
@@ -146,6 +161,65 @@ impl SimRng {
         r * cos
     }
 
+    /// Standard normal sample via the Marsaglia–Tsang ziggurat in
+    /// Doornik's 128-layer form (ZIGNOR). Exact: the rectangle, wedge
+    /// and tail branches together reproduce `N(0, 1)` with no
+    /// approximation beyond `f64` rounding.
+    ///
+    /// Each attempt takes one raw draw: the low 7 bits pick the layer
+    /// and the top 53 bits give the signed uniform. About 97% of
+    /// samples return from the first rectangle test; the rest fall to
+    /// the wedge or tail code, which draws more. It never touches the
+    /// Box–Muller spare, so interleaving the two samplers is
+    /// well-defined.
+    #[inline]
+    pub fn ziggurat_normal(&mut self) -> f64 {
+        let zig = ziggurat();
+        let (layer, u) = zig_split(self.inner.next_u64());
+        if u.abs() < zig.inner[layer] {
+            return u * zig.x[layer];
+        }
+        self.ziggurat_slow(zig, layer, u)
+    }
+
+    /// The wedge and tail branches of [`ziggurat_normal`], and its
+    /// retries after a rejected wedge.
+    ///
+    /// [`ziggurat_normal`]: SimRng::ziggurat_normal
+    #[cold]
+    fn ziggurat_slow(&mut self, zig: &Ziggurat, mut layer: usize, mut u: f64) -> f64 {
+        loop {
+            if u.abs() < zig.inner[layer] {
+                return u * zig.x[layer];
+            }
+            if layer == 0 {
+                return self.ziggurat_tail(u < 0.0);
+            }
+            // Inside the layer but outside its inner rectangle: a uniform
+            // height between the layer's bottom and top edges, both
+            // scaled by f(x), is accepted below the density.
+            let x = u * zig.x[layer];
+            let bottom = (-0.5 * (zig.x[layer] * zig.x[layer] - x * x)).exp();
+            let top = (-0.5 * (zig.x[layer + 1] * zig.x[layer + 1] - x * x)).exp();
+            if bottom + self.uniform() * (top - bottom) < 1.0 {
+                return x;
+            }
+            (layer, u) = zig_split(self.inner.next_u64());
+        }
+    }
+
+    /// Marsaglia's exact tail sampler beyond [`ZIG_R`].
+    fn ziggurat_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // ln of a value in (0, 1], so both are <= 0 and finite.
+            let x = (1.0 - self.uniform()).ln() / ZIG_R;
+            let y = (1.0 - self.uniform()).ln();
+            if -2.0 * y >= x * x {
+                return if negative { x - ZIG_R } else { ZIG_R - x };
+            }
+        }
+    }
+
     /// Normal sample with the given mean and standard deviation.
     ///
     /// # Panics
@@ -169,6 +243,58 @@ impl SimRng {
         assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
         self.uniform() < p
     }
+}
+
+/// Number of ziggurat layers; the low 7 bits of a draw index them.
+const ZIG_LAYERS: usize = 128;
+
+/// Right edge of the base layer, where the tail starts.
+const ZIG_R: f64 = 3.442_619_855_899;
+
+/// Area of every layer (the base layer's includes the tail), for the
+/// unnormalised density `f(x) = exp(-x^2 / 2)`.
+const ZIG_V: f64 = 9.912_563_035_262_17e-3;
+
+/// The ziggurat's layer geometry, built once by [`ziggurat`].
+#[derive(Debug)]
+struct Ziggurat {
+    /// Layer widths: `x[0] = V / f(R)` is the base layer's virtual
+    /// width (rectangle plus tail), `x[1] = R`, decreasing to
+    /// `x[128] = 0` at the peak.
+    x: [f64; ZIG_LAYERS + 1],
+    /// `x[i + 1] / x[i]`: the share of layer `i` lying wholly under the
+    /// curve, so a uniform below it is accepted without evaluating `f`.
+    inner: [f64; ZIG_LAYERS],
+}
+
+/// The shared ziggurat tables. Built on first use by a fixed sequence
+/// of `f64` operations, so every stream sees identical tables.
+fn ziggurat() -> &'static Ziggurat {
+    static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut x = [0.0; ZIG_LAYERS + 1];
+        let mut f = (-0.5 * ZIG_R * ZIG_R).exp();
+        x[0] = ZIG_V / f;
+        x[1] = ZIG_R;
+        for i in 2..ZIG_LAYERS {
+            x[i] = (-2.0 * (ZIG_V / x[i - 1] + f).ln()).sqrt();
+            f = (-0.5 * x[i] * x[i]).exp();
+        }
+        let mut inner = [0.0; ZIG_LAYERS];
+        for (i, share) in inner.iter_mut().enumerate() {
+            *share = x[i + 1] / x[i];
+        }
+        Ziggurat { x, inner }
+    })
+}
+
+/// Splits one raw draw into a layer index (low 7 bits) and a uniform in
+/// `[-1, 1)` (top 53 bits, exact).
+#[inline]
+fn zig_split(bits: u64) -> (usize, f64) {
+    let layer = (bits & (ZIG_LAYERS as u64 - 1)) as usize;
+    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+    (layer, u)
 }
 
 impl RngCore for SimRng {
@@ -317,5 +443,166 @@ mod tests {
     #[test]
     fn master_seed_accessor() {
         assert_eq!(RngTree::new(77).master_seed(), 77);
+    }
+
+    /// `erfc` to ~1.2e-7 relative error (Numerical Recipes' `erfcc`):
+    /// far below the 1e6-draw sampling noise the tests below resolve.
+    fn erfc(x: f64) -> f64 {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = [
+            -1.265_512_23,
+            1.000_023_68,
+            0.374_091_96,
+            0.096_784_18,
+            -0.186_288_06,
+            0.278_868_07,
+            -1.135_203_98,
+            1.488_515_87,
+            -0.822_152_23,
+            0.170_872_77,
+        ]
+        .iter()
+        .rev()
+        .fold(0.0, |acc, c| acc * t + c);
+        let r = t * (-z * z + poly).exp();
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    /// The standard normal CDF.
+    fn phi(x: f64) -> f64 {
+        0.5 * erfc(-x / std::f64::consts::SQRT_2)
+    }
+
+    /// Draws enough ziggurat samples that the tail beyond `R` holds
+    /// several hundred of them.
+    const ZIG_DRAWS: usize = 1_000_000;
+
+    fn ziggurat_draws(seed: u64) -> Vec<f64> {
+        let mut rng = RngTree::new(seed).stream(3);
+        (0..ZIG_DRAWS).map(|_| rng.ziggurat_normal()).collect()
+    }
+
+    #[test]
+    fn ziggurat_tables_are_consistent() {
+        let zig = ziggurat();
+        assert_eq!(zig.x[1], ZIG_R);
+        assert_eq!(zig.x[ZIG_LAYERS], 0.0);
+        assert!(zig.x.windows(2).all(|w| w[0] > w[1]), "widths decrease");
+        // The constants close the ziggurat: the top layer, from the
+        // last computed width to the peak, has the common area V.
+        let top = zig.x[ZIG_LAYERS - 1];
+        let top_area = top * (1.0 - (-0.5 * top * top).exp());
+        assert!(
+            (top_area / ZIG_V - 1.0).abs() < 1e-6,
+            "top layer {top_area}"
+        );
+        // The same tables every time.
+        assert!(std::ptr::eq(zig, ziggurat()));
+    }
+
+    #[test]
+    fn ziggurat_moments_match_the_standard_normal() {
+        let z = ziggurat_draws(2012);
+        let n = z.len() as f64;
+        let mean = z.iter().sum::<f64>() / n;
+        let var = z.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let m4 = z.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
+        let kurtosis = m4 / (var * var);
+        // Tolerances are about five standard errors at 1e6 draws.
+        assert!(mean.abs() < 0.005, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.007, "variance {var}");
+        assert!((kurtosis - 3.0).abs() < 0.025, "kurtosis {kurtosis}");
+    }
+
+    #[test]
+    fn ziggurat_tail_mass_matches_phi() {
+        let z = ziggurat_draws(7);
+        let n = z.len() as f64;
+        for cut in [2.0, ZIG_R] {
+            let p = 2.0 * (1.0 - phi(cut));
+            let expected = p * n;
+            let sd = (n * p * (1.0 - p)).sqrt();
+            let beyond = z.iter().filter(|x| x.abs() > cut).count() as f64;
+            assert!(
+                (beyond - expected).abs() < 5.0 * sd,
+                "|z| > {cut}: {beyond} draws, expected {expected:.1} +- {sd:.1}"
+            );
+        }
+        // Only the tail branch returns |z| > R; both signs occur.
+        assert!(z.iter().any(|&x| x > ZIG_R) && z.iter().any(|&x| x < -ZIG_R));
+    }
+
+    #[test]
+    fn ziggurat_histogram_passes_chi_square_against_phi() {
+        let z = ziggurat_draws(99);
+        // 0.25-wide bins over [-3, 3], split at +-R, open outer bins.
+        let mut edges: Vec<f64> = (0..=24).map(|i| -3.0 + 0.25 * f64::from(i)).collect();
+        edges.insert(0, -ZIG_R);
+        edges.push(ZIG_R);
+        let mut counts = vec![0u64; edges.len() + 1];
+        for &x in &z {
+            counts[edges.partition_point(|&e| e <= x)] += 1;
+        }
+        let cdf = |i: usize| -> f64 {
+            match i {
+                0 => 0.0,
+                i if i > edges.len() => 1.0,
+                i => phi(edges[i - 1]),
+            }
+        };
+        let n = z.len() as f64;
+        let chi2: f64 = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let expected = n * (cdf(i + 1) - cdf(i));
+                (c as f64 - expected).powi(2) / expected
+            })
+            .sum();
+        // 28 bins, 27 degrees of freedom: the 1e-4 upper quantile is
+        // about 63.4 (Wilson–Hilferty).
+        assert_eq!(counts.len(), 28);
+        assert!(chi2 < 63.4, "chi-square {chi2} over {counts:?}");
+    }
+
+    #[test]
+    fn ziggurat_is_deterministic_per_stream() {
+        let draw = |seed: u64| -> Vec<u64> {
+            let mut rng = RngTree::new(seed).stream(1);
+            (0..4096).map(|_| rng.ziggurat_normal().to_bits()).collect()
+        };
+        assert_eq!(draw(5), draw(5));
+        assert_ne!(draw(5), draw(6));
+        // The ziggurat leaves the Box–Muller spare alone.
+        let mut mixed = RngTree::new(5).stream(1);
+        let first = mixed.standard_normal();
+        let _ = mixed.ziggurat_normal();
+        let mut plain = RngTree::new(5).stream(1);
+        assert_eq!(first, plain.standard_normal());
+        assert_eq!(mixed.standard_normal(), plain.standard_normal());
+    }
+
+    #[test]
+    fn box_muller_bits_are_pinned() {
+        // The full simulation and every repro_all golden depend on these
+        // exact bits; a changed Box–Muller must fail here first.
+        const PINNED: [u64; 8] = [
+            0x4007_a6ab_9429_1dc5,
+            0xbfe1_345e_645b_33ee,
+            0xbfa7_854f_fa16_eb21,
+            0xbfca_b232_ae47_aab3,
+            0xbff8_d095_baad_e141,
+            0x3ff5_187e_bafe_2309,
+            0xbff1_827e_4f76_986c,
+            0xbfe7_c9c7_4cf6_9bca,
+        ];
+        let mut rng = RngTree::new(2012).stream(7);
+        let got: Vec<u64> = (0..8).map(|_| rng.standard_normal().to_bits()).collect();
+        assert_eq!(got, PINNED);
     }
 }

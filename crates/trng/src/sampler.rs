@@ -125,16 +125,46 @@ impl Sampler {
                 requested: count,
             }));
         }
+        // The sample instants only increase, so one forward cursor over
+        // the (time-sorted) transitions replaces a binary search per
+        // sample. `next` counts the transitions strictly before `t`.
+        let transitions = trace.transitions();
+        let half = self.meta_window_ps / 2.0;
+        let mut next = transitions.partition_point(|&(tt, _)| tt < t0);
         let mut bits = BitString::with_capacity(count);
         for k in 1..=count {
             let t = t0 + self.period_ps * k as f64;
-            if self.meta_window_ps > 0.0 && self.near_transition(trace, t) {
+            while transitions.get(next).is_some_and(|&(tt, _)| tt < t) {
+                next += 1;
+            }
+            let before = next.checked_sub(1).map(|j| transitions[j]);
+            let after = transitions.get(next).copied();
+            if after.is_some_and(|(tt, _)| tt == t) {
+                // An instant exactly on a transition reads through the
+                // binary-search path, so ties resolve as they always have.
+                bits.push(self.sample_at_tie(trace, t, rng));
+                continue;
+            }
+            let metastable = self.meta_window_ps > 0.0
+                && (before.is_some_and(|(tt, _)| t - tt <= half)
+                    || after.is_some_and(|(tt, _)| tt - t <= half));
+            if metastable {
                 bits.push_bool(rng.bernoulli(0.5));
             } else {
-                bits.push(trace.value_at(t).into());
+                bits.push(before.map_or(trace.initial(), |(_, v)| v).into());
             }
         }
         Ok(bits)
+    }
+
+    /// One sample at an instant `t` that equals a recorded transition
+    /// time: the per-sample binary-search form of the sampler.
+    fn sample_at_tie(&self, trace: &Trace, t: Time, rng: &mut SimRng) -> u8 {
+        if self.meta_window_ps > 0.0 && self.near_transition(trace, t) {
+            u8::from(rng.bernoulli(0.5))
+        } else {
+            trace.value_at(t).into()
+        }
     }
 
     /// Whether any data transition falls within the metastability window
@@ -162,7 +192,137 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use strent_sim::{Bit, RngTree};
+
+    /// The reference sampler: the per-sample binary-search loop
+    /// (`near_transition` plus `Trace::value_at` at every instant) that
+    /// the forward cursor replaced. The cursor must agree with it bit
+    /// for bit and draw the same metastability coins.
+    fn reference_sample(
+        sampler: &Sampler,
+        trace: &Trace,
+        t0: Time,
+        count: usize,
+        valid_until: Time,
+        rng: &mut SimRng,
+    ) -> Result<BitString, TrngError> {
+        let last_needed = t0 + sampler.period_ps * count as f64;
+        let trace_end = trace
+            .transitions()
+            .last()
+            .map_or(Time::ZERO, |&(t, _)| t)
+            .max(valid_until);
+        if trace_end < last_needed {
+            return Err(TrngError::Ring(RingError::HorizonExceeded {
+                collected: ((trace_end - t0) / sampler.period_ps).max(0.0) as usize,
+                requested: count,
+            }));
+        }
+        let mut bits = BitString::with_capacity(count);
+        for k in 1..=count {
+            let t = t0 + sampler.period_ps * k as f64;
+            if sampler.meta_window_ps > 0.0 && sampler.near_transition(trace, t) {
+                bits.push_bool(rng.bernoulli(0.5));
+            } else {
+                bits.push(trace.value_at(t).into());
+            }
+        }
+        Ok(bits)
+    }
+
+    /// An alternating trace from a start level, a first instant and
+    /// non-negative gaps (zero gaps give coincident transitions).
+    fn trace_from_gaps(initial: bool, start: f64, gaps: &[f64]) -> Trace {
+        let mut level = if initial { Bit::High } else { Bit::Low };
+        let mut trace = Trace::new(level);
+        let mut t = start;
+        for &gap in gaps {
+            t += gap;
+            level = !level;
+            trace.record(Time::from_ps(t), level);
+        }
+        trace
+    }
+
+    /// Runs both samplers on one case; equal results and equal RNG
+    /// states afterwards.
+    fn assert_matches_reference(
+        trace: &Trace,
+        period: f64,
+        window: f64,
+        t0: f64,
+        count: usize,
+        valid_until: f64,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let sampler = Sampler::new(period, window).expect("valid sampler");
+        let (t0, valid_until) = (Time::from_ps(t0), Time::from_ps(valid_until));
+        let mut cursor_rng = RngTree::new(seed).stream(0);
+        let mut reference_rng = RngTree::new(seed).stream(0);
+        let got = sampler.sample_trace_until(trace, t0, count, valid_until, &mut cursor_rng);
+        let want = reference_sample(&sampler, trace, t0, count, valid_until, &mut reference_rng);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(cursor_rng.next_u64(), reference_rng.next_u64());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sorted traces at real-valued instants, with the first
+        /// sample before, inside or past the recorded edges and a flat
+        /// tail read through `valid_until`.
+        #[test]
+        fn cursor_matches_reference_on_random_traces(
+            initial in any::<bool>(),
+            start in -500.0f64..500.0,
+            gaps in prop::collection::vec(0.0f64..120.0, 0..200),
+            period in 1.0f64..150.0,
+            windowed in any::<bool>(),
+            window in 0.0f64..40.0,
+            t0_offset in -800.0f64..800.0,
+            count in 0usize..300,
+            tail in 0.0f64..2_000.0,
+            seed in any::<u64>(),
+        ) {
+            let trace = trace_from_gaps(initial, start, &gaps);
+            let window = if windowed { window } else { 0.0 };
+            let end = start + gaps.iter().sum::<f64>();
+            assert_matches_reference(
+                &trace, period, window, start + t0_offset, count, end + tail, seed,
+            )?;
+        }
+
+        /// Integer-valued instants and periods: float arithmetic is exact,
+        /// so many samples land exactly on (possibly coincident)
+        /// transitions and take the tie path.
+        #[test]
+        fn cursor_matches_reference_on_exact_ties(
+            initial in any::<bool>(),
+            start in -20i32..20,
+            gaps in prop::collection::vec(0u8..5, 0..120),
+            period in 1u8..6,
+            window in 0u8..4,
+            t0_offset in -30i32..30,
+            count in 0usize..150,
+            tail in 0u16..100,
+            seed in any::<u64>(),
+        ) {
+            let gaps: Vec<f64> = gaps.into_iter().map(f64::from).collect();
+            let trace = trace_from_gaps(initial, f64::from(start), &gaps);
+            let end = f64::from(start) + gaps.iter().sum::<f64>();
+            assert_matches_reference(
+                &trace,
+                f64::from(period),
+                f64::from(window),
+                f64::from(start + t0_offset),
+                count,
+                end + f64::from(tail),
+                seed,
+            )?;
+        }
+    }
 
     fn square_trace(period: f64, cycles: usize) -> Trace {
         let mut trace = Trace::new(Bit::Low);

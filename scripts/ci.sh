@@ -118,6 +118,13 @@ else
     echo "bench JSON: python3 unavailable, validation skipped"
 fi
 
+echo "== perfbench tests (slot replay identity on both backends) =="
+# perfbench's replay rebuilds PooledSource::next_batch from public
+# components and must stay byte-identical to it on the surrogate and
+# full-sim backends. This is what proves a change below advance_by,
+# trace or sample_trace_until left the served bytes' pipeline intact.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== surrogate equivalence + speedup gate =="
 # The statistical-equivalence harness must be green before the speedup
 # claim means anything: a fast surrogate that drifts from the event-
