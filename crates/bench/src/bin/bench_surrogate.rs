@@ -3,9 +3,11 @@
 //! the three serving presets, plus the period-moment agreement the
 //! speedup is conditional on (see `docs/surrogate.md`).
 //!
-//! Both backends are driven through [`EntropySource`] — the same
-//! chunked advance/sample/prune loop the serving layer uses — so the
-//! measured ratio is the one a pool actually sees. Calibration cost is
+//! Both backends are driven through [`EntropySource`] the way a pool
+//! slot drives them — the full sim by the chunked advance/sample/prune
+//! loop over its recorded trace, the surrogate by
+//! [`Sampler::sample_surrogate`] straight off its period generator — so
+//! the measured ratio is the one a pool actually sees. Calibration cost is
 //! reported separately: it is a one-time spend per `(ring, board,
 //! seed)`, not part of the steady-state samples/s.
 //!
@@ -88,8 +90,9 @@ impl Throughput {
 }
 
 /// Drives `samples` sampled bits through the serving-style chunked
-/// loop (advance the waveform, sample a chunk, prune what was
-/// consumed) and reports the best wall time of `reps` runs.
+/// loop (advance the waveform and sample a chunk; the full sim also
+/// prunes what was consumed) and reports the best wall time of `reps`
+/// runs.
 fn probe_backend(
     ring: &RingSpec,
     seed: u64,
@@ -118,24 +121,29 @@ fn probe_backend(
         while produced < samples {
             let n = CHUNK.min(samples - produced);
             let span = n as f64 * sample_ps;
-            while source.now().as_ps() < cursor + span {
-                let deficit = cursor + span - source.now().as_ps();
-                source.advance_by(deficit + period)?;
+            let t0 = Time::from_ps(cursor);
+            let bits = match &mut source {
+                // What a surrogate pool slot runs: sampling straight off
+                // the period generator, no stored waveform.
+                EntropySource::Surrogate(stream) => {
+                    sampler.sample_surrogate(stream, t0, n, &mut rng)
+                }
+                EntropySource::Full(_) => {
+                    while source.now().as_ps() < cursor + span {
+                        let deficit = cursor + span - source.now().as_ps();
+                        source.advance_by(deficit + period)?;
+                    }
+                    let bits =
+                        sampler.sample_trace_until(source.trace(), t0, n, source.now(), &mut rng);
+                    source.prune_before(Time::from_ps(cursor + span));
+                    bits
+                }
             }
-            let bits = sampler
-                .sample_trace_until(
-                    source.trace(),
-                    Time::from_ps(cursor),
-                    n,
-                    source.now(),
-                    &mut rng,
-                )
-                .map_err(|_| RingError::NotOscillating {
-                    observed_transitions: produced,
-                })?;
+            .map_err(|_| RingError::NotOscillating {
+                observed_transitions: produced,
+            })?;
             ones += bits.count_ones();
             cursor += span;
-            source.prune_before(Time::from_ps(cursor));
             produced += n;
         }
         let probe = Throughput {

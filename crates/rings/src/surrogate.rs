@@ -19,10 +19,21 @@
 //! [`SimRng::standard_normal`] bit for bit, because `repro_all`'s
 //! golden output depends on its exact values; the surrogate only
 //! claims statistical equivalence, so it uses the cheaper exact
-//! sampler. A period costs about 20 ns (70–95 ns with Box–Muller), and
-//! a byte served at the default point (factor 8.37, `XorDecimate(2)`)
-//! about 134 periods. `docs/surrogate.md` gives the traced per-layer
-//! numbers.
+//! sampler.
+//!
+//! A pool slot never stores the surrogate's waveform: the streaming
+//! sampler (`strent_trng::sampler::Sampler::sample_surrogate`) drives
+//! [`SurrogateStream::advance_streaming`], which hands each period's
+//! edges to the sampler as they are drawn and keeps only the few a later
+//! read needs. The trace path ([`SurrogateStream::advance_by`] into a
+//! [`Trace`]) stays for everything else that reads a waveform — the full
+//! simulation's consumers, the re-lock check, the experiments and the
+//! benchmark's slot replay — and is the oracle the streaming path
+//! matches bit for bit. A streamed period costs about 15–18 ns, against
+//! about 18–21 ns recorded and sampled from the trace (70–95 ns with
+//! Box–Muller); a byte served at the default point (factor 8.37,
+//! `XorDecimate(2)`) needs about 134 periods. `docs/surrogate.md` gives
+//! the per-layer numbers.
 //!
 //! The surrogate claims **statistical** equivalence, not bit
 //! equivalence: the golden moments (period mean/σ, Allan deviation,
@@ -326,7 +337,9 @@ fn duty_cycle(rising_window: &[Time], falling: &[Time]) -> f64 {
 /// An O(1)-per-sample replacement for a locked [`RingStream`]: replays
 /// a [`SurrogateModel`] into a [`Trace`], two transitions per period,
 /// with the same incremental `advance_by` / `trace` / `prune_before`
-/// surface the sampling and serving layers consume.
+/// surface the sampling and serving layers consume — or, through
+/// [`advance_streaming`](SurrogateStream::advance_streaming), hands the
+/// transitions to a consumer without storing them.
 ///
 /// Determinism matches the event-driven engine's contract: the emitted
 /// waveform is a pure function of `(model, seed)` and is independent of
@@ -430,6 +443,7 @@ impl SurrogateStream {
     /// clamped to a positive floor so the waveform stays monotone even
     /// under a (deliberately corrupted) model whose jitter dwarfs its
     /// mean.
+    #[inline]
     fn draw_period_ps(&mut self) -> f64 {
         let flicker = self.flicker.step(&mut self.rng);
         let white = self.model.sigma_white_ps * self.rng.ziggurat_normal();
@@ -437,11 +451,17 @@ impl SurrogateStream {
         period.max(0.05 * self.model.period_mean_ps)
     }
 
+    /// The horizon an advance by `delta_ps` reaches: `delta_ps` past the
+    /// later of the current horizon and the prune cursor.
+    fn horizon_after(&self, delta_ps: f64) -> f64 {
+        self.now.as_ps().max(self.consumed_until.as_ps()) + delta_ps
+    }
+
     /// Extends the waveform by `delta_ps` past the later of the current
     /// horizon and the prune cursor, emitting every period that starts
     /// inside the new window. Mirrors [`RingStream::advance_by`].
     pub fn advance_by(&mut self, delta_ps: f64) -> Time {
-        let horizon_ps = self.now.as_ps().max(self.consumed_until.as_ps()) + delta_ps;
+        let horizon_ps = self.horizon_after(delta_ps);
         // Two transitions per period. Reserving this advance's share (plus
         // an eighth) sizes the trace once; growing it by doubling leaves
         // a chain of freed, still-resident buffers behind in every slot.
@@ -456,28 +476,105 @@ impl SurrogateStream {
         self.now
     }
 
-    /// Emits one full period (rising + falling edge) and returns the
-    /// measured duration — the gap between this rising edge and the
-    /// previous one as *emitted* (edge noise included), matching what
-    /// an observer of the trace would measure.
-    fn emit_period(&mut self) -> f64 {
+    /// Extends the waveform exactly as [`advance_by`](Self::advance_by)
+    /// does — the same periods, draws and horizon — but hands each new
+    /// period's rising and falling instants to `on_period`, in time
+    /// order, instead of storing them.
+    ///
+    /// The trace keeps only what later reads of instants at or after
+    /// `keep_from` need: every transition at or after `keep_from`, plus
+    /// the last one before it. That is what the serving layer's
+    /// streaming sampler relies on: the next batch's first sample finds
+    /// its preceding edge, and a re-lock window starting at the new
+    /// horizon finds every edge it measures.
+    pub fn advance_streaming(
+        &mut self,
+        delta_ps: f64,
+        keep_from: Time,
+        mut on_period: impl FnMut(Time, Time),
+    ) -> Time {
+        let horizon_ps = self.horizon_after(delta_ps);
+        self.retain_from(keep_from);
+        // The latest emitted falling edge before `keep_from`, stored only
+        // once it is known to be the last transition before it.
+        let mut fall_before_keep: Option<Time> = None;
+        while self.next_rising_ps <= horizon_ps {
+            let (rise, fall) = self.next_edges();
+            let (rise, fall) = (Time::from_ps(rise), Time::from_ps(fall));
+            on_period(rise, fall);
+            if fall < keep_from {
+                fall_before_keep = Some(fall);
+                continue;
+            }
+            if rise < keep_from {
+                self.restart_trace_at((rise, Bit::High));
+            } else {
+                if let Some(before) = fall_before_keep.take() {
+                    self.restart_trace_at((before, Bit::Low));
+                }
+                self.trace.record(rise, Bit::High);
+            }
+            fall_before_keep = None;
+            self.trace.record(fall, Bit::Low);
+        }
+        if let Some(before) = fall_before_keep {
+            self.restart_trace_at((before, Bit::Low));
+        }
+        self.now = Time::from_ps(horizon_ps);
+        self.now
+    }
+
+    /// Drops every stored transition before the last one strictly
+    /// before `keep_from`; the retention rule of
+    /// [`advance_streaming`](Self::advance_streaming), for a batch that
+    /// needs no advance.
+    pub fn retain_from(&mut self, keep_from: Time) {
+        let before = self
+            .trace
+            .transitions()
+            .partition_point(|&(t, _)| t < keep_from);
+        self.trace.discard_prefix(before.saturating_sub(1));
+    }
+
+    /// Replaces the stored trace by the single transition `(at, level)`:
+    /// every stored one precedes it, so none is needed any more.
+    fn restart_trace_at(&mut self, (at, level): (Time, Bit)) {
+        self.trace = Trace::new(!level);
+        self.trace.record(at, level);
+    }
+
+    /// Draws the next period and places its edges, advancing the
+    /// generator but not the trace — the step every emission path
+    /// shares. Returns the rising and falling instants, ps.
+    #[inline]
+    fn next_edges(&mut self) -> (f64, f64) {
         let period = self.draw_period_ps();
         let edge = self.model.sigma_edge_ps * self.rng.ziggurat_normal();
         // The monotonicity clamp never binds for a calibrated model
         // (edge noise is orders of magnitude below the period); it only
-        // guards deliberately corrupted models.
+        // guards deliberately corrupted models. It also keeps emitted
+        // transitions strictly increasing.
         let min_step = 0.01 * self.model.period_mean_ps;
         let rise = (self.next_rising_ps + edge).max(self.last_record_ps + min_step);
         let fall = rise + (self.model.duty * period).max(min_step);
-        self.trace.record(Time::from_ps(rise), Bit::High);
-        self.trace.record(Time::from_ps(fall), Bit::Low);
-        let measured = rise - self.prev_rise_ps;
         self.prev_rise_ps = rise;
         self.last_record_ps = fall;
         self.next_rising_ps += period;
         self.periods_emitted += 1;
         self.transitions_emitted += 2;
-        measured
+        (rise, fall)
+    }
+
+    /// Emits one full period (rising + falling edge) into the trace and
+    /// returns the measured duration — the gap between this rising edge
+    /// and the previous one as *emitted* (edge noise included), matching
+    /// what an observer of the trace would measure.
+    fn emit_period(&mut self) -> f64 {
+        let prev_rise = self.prev_rise_ps;
+        let (rise, fall) = self.next_edges();
+        self.trace.record(Time::from_ps(rise), Bit::High);
+        self.trace.record(Time::from_ps(fall), Bit::Low);
+        rise - prev_rise
     }
 
     /// Generates the next `n` periods eagerly and returns their

@@ -58,6 +58,16 @@ pub enum ServeError {
         /// Pool index of the failed source.
         source: usize,
     },
+    /// A pool source kept failing its health tests: it discarded
+    /// `max_relock_windows` consecutive batches, was replaced, and the
+    /// replacement did the same without a single delivery in between.
+    /// The ring re-locks fine but cannot serve at this operating point.
+    SourceUnhealthy {
+        /// Pool index of the source.
+        source: usize,
+        /// Batches discarded since the source last delivered one.
+        discarded: u64,
+    },
     /// Waited too long on a source or on the scheduler.
     Timeout,
     /// A malformed frame or protocol-order violation on the wire.
@@ -89,6 +99,11 @@ impl fmt::Display for ServeError {
             ServeError::SourceFailed { source } => {
                 write!(f, "pool source {source} stopped producing")
             }
+            ServeError::SourceUnhealthy { source, discarded } => write!(
+                f,
+                "pool source {source} discarded {discarded} consecutive batches \
+                 across a ring replacement"
+            ),
             ServeError::Timeout => write!(f, "timed out waiting for entropy"),
             ServeError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             ServeError::Io(e) => write!(f, "transport i/o error: {e}"),

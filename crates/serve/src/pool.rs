@@ -650,6 +650,7 @@ fn repair_worker(state: &mut WorkerState, shutdown: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strent_rings::surrogate::SourceBackend;
     use strent_trng::postprocess::ConditionerKind;
 
     fn small_config(sources: usize) -> PoolConfig {
@@ -676,6 +677,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_slot_that_never_passes_health_surfaces_as_source_failed() {
+        // Sampling at 1.02x the ring period alarms on every batch; the
+        // slot gives up after its bounded discards instead of looping.
+        let mut config = small_config(1).with_backend(SourceBackend::Surrogate);
+        config.sample_period_factor = 1.02;
+        config.batch_raw_bits = 256;
+        config.max_relock_windows = 8;
+        let mut pool = SourcePool::start(&config, 1).expect("starts");
+        assert!(matches!(
+            pool.next_chunk(),
+            Err(ServeError::SourceFailed { source: 0 })
+        ));
+        pool.shutdown();
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! figure of merit the fault experiments use) passes, or is replaced by
 //! a fresh ring after `max_relock_windows` failures.
 //!
+//! A ring can re-lock fine and still fail health on every batch (a
+//! sampling factor near a multiple of the ring period reads long runs).
+//! `max_relock_windows` also bounds that loop: as many consecutive
+//! discarded batches replace the ring, and a replacement that does the
+//! same ends the source with [`ServeError::SourceUnhealthy`].
+//!
 //! Everything here is a pure function of the [`SourceSpec`] and
 //! [`PoolConfig`]: no wall clock, no global state. That purity is what
 //! makes the pool's served stream independent of worker-thread count.
@@ -52,6 +58,8 @@ pub struct PooledSource {
     bit_carry: BitString,
     /// Sliding-window Markov estimator over the *delivered* bits.
     estimator: RateEstimator,
+    /// Batches discarded since the last delivered one.
+    discarded_run: u64,
 }
 
 impl PooledSource {
@@ -96,6 +104,7 @@ impl PooledSource {
             cursor_ps: config.warmup_periods * period,
             bit_carry: BitString::new(),
             estimator: RateEstimator::new(config.entropy_order, config.entropy_window_bits)?,
+            discarded_run: 0,
             stream,
         })
     }
@@ -145,30 +154,44 @@ impl PooledSource {
 
     /// Produces one raw batch of `batch_raw_bits` samples starting at
     /// the cursor, advancing the simulation as far as needed.
+    ///
+    /// A surrogate slot samples straight off its period generator
+    /// ([`Sampler::sample_surrogate`]), never storing the batch's edges;
+    /// a full-sim slot records its waveform and samples the trace. Both
+    /// give the same bits for the same waveform.
     fn produce_raw_batch(&mut self) -> Result<BitString, ServeError> {
         let count = self.config.batch_raw_bits;
         let t0 = Time::from_ps(self.cursor_ps);
-        // Simulate past the last sample instant plus the metastability
-        // half-window, so no future transition can straddle a sample.
-        let needed_ps =
-            self.cursor_ps + self.sampler.period_ps() * count as f64 + self.sampler.meta_window_ps();
-        let now_ps = self.stream.now().as_ps();
-        if now_ps < needed_ps {
-            self.stream.advance_by(needed_ps - now_ps)?;
-        }
-        let bits = self.sampler.sample_trace_until(
-            self.stream.trace(),
-            t0,
-            count,
-            self.stream.now(),
-            &mut self.meta_rng,
-        )?;
-        self.cursor_ps += self.sampler.period_ps() * count as f64;
-        // Keep one re-lock window of history; drop the rest.
-        let keep_ps = self.relock_window_ps() + self.sampler.meta_window_ps();
-        if self.cursor_ps > keep_ps {
-            self.stream.prune_before(Time::from_ps(self.cursor_ps - keep_ps));
-        }
+        let next_cursor_ps = self.cursor_ps + self.sampler.period_ps() * count as f64;
+        let bits = match &mut self.stream {
+            EntropySource::Surrogate(stream) => {
+                self.sampler
+                    .sample_surrogate(stream, t0, count, &mut self.meta_rng)?
+            }
+            EntropySource::Full(_) => {
+                // Simulate far enough that no later transition can
+                // straddle a sample.
+                let needed_ps = self.sampler.batch_horizon_ps(t0, count);
+                let now_ps = self.stream.now().as_ps();
+                if now_ps < needed_ps {
+                    self.stream.advance_by(needed_ps - now_ps)?;
+                }
+                let bits = self.sampler.sample_trace_until(
+                    self.stream.trace(),
+                    t0,
+                    count,
+                    self.stream.now(),
+                    &mut self.meta_rng,
+                )?;
+                // Keep one re-lock window of history; drop the rest.
+                let keep_ps = self.relock_window_ps() + self.sampler.meta_window_ps();
+                if next_cursor_ps > keep_ps {
+                    self.stream.prune_before(Time::from_ps(next_cursor_ps - keep_ps));
+                }
+                bits
+            }
+        };
+        self.cursor_ps = next_cursor_ps;
         Ok(bits)
     }
 
@@ -181,9 +204,11 @@ impl PooledSource {
     ///
     /// # Errors
     ///
-    /// Returns an error only for unrecoverable simulator failures — a
-    /// merely unhealthy ring is handled (quarantined, re-locked or
-    /// replaced), never surfaced.
+    /// Returns an error for unrecoverable simulator failures, and
+    /// [`ServeError::SourceUnhealthy`] when neither the ring nor its
+    /// replacement passes a batch within `max_relock_windows` tries. An
+    /// unhealthy ring short of that is handled (quarantined, re-locked
+    /// or replaced), never surfaced.
     pub fn next_batch(&mut self) -> Result<Vec<u8>, ServeError> {
         loop {
             let raw = self.produce_raw_batch()?;
@@ -193,9 +218,25 @@ impl PooledSource {
                 // The whole batch is suspect: discard it before the
                 // conditioner can absorb any of it.
                 self.stats.batches_discarded += 1;
-                self.quarantine_and_relock()?;
+                self.discarded_run += 1;
+                // A run of `max_relock_windows` discards is answered as a
+                // failed re-lock is, with a fresh ring; a second run
+                // means the operating point, not the ring, is at fault.
+                let bound = self.config.max_relock_windows as u64;
+                if self.discarded_run >= 2 * bound {
+                    return Err(ServeError::SourceUnhealthy {
+                        source: self.index,
+                        discarded: self.discarded_run,
+                    });
+                }
+                if self.discarded_run == bound {
+                    self.replace_ring()?;
+                } else {
+                    self.quarantine_and_relock()?;
+                }
                 continue;
             }
+            self.discarded_run = 0;
             self.stats.batches_delivered += 1;
             self.state = SourceState::Healthy;
             self.bit_carry.extend(self.conditioner.feed(&raw).iter());
@@ -389,6 +430,43 @@ mod tests {
             assert!(served_a == served_b, "{label}: two builds diverge");
             assert_eq!(a.stats().alarms, 0, "{label} raised a health alarm");
             assert_eq!(a.state(), SourceState::Healthy);
+        }
+    }
+
+    #[test]
+    fn a_slot_failing_health_on_every_batch_is_replaced_then_failed() {
+        // A sampling period at (or within 2% of) the ring period reads
+        // the same phase for hundreds of samples: every batch alarms,
+        // though the ring itself re-locks fine. The discards are bounded
+        // by `max_relock_windows` per ring, then the slot fails typed.
+        for factor in [1.0, 1.02] {
+            let mut config = test_config();
+            config.sample_period_factor = factor;
+            config.batch_raw_bits = 256;
+            let bound = config.max_relock_windows as u64;
+            let spec = SourceSpec::new(RingSpec::Str32, 4).with_backend(SourceBackend::Surrogate);
+            let mut source = PooledSource::build(0, &spec, &config).expect("builds");
+            assert_eq!(source.backend(), SourceBackend::Surrogate);
+            let mut delivered = 0;
+            let err = loop {
+                match source.next_batch() {
+                    Ok(_) => delivered += 1,
+                    Err(e) => break e,
+                }
+                assert!(delivered < 1_000, "factor {factor}: no bound on the discards");
+            };
+            let stats = source.stats();
+            let ServeError::SourceUnhealthy { source: index, discarded } = err else {
+                panic!("factor {factor}: untyped end {err}");
+            };
+            assert_eq!(index, 0);
+            assert_eq!(discarded, 2 * bound, "factor {factor}: one run per ring, {stats:?}");
+            assert_eq!(delivered, 0, "factor {factor}: no batch passed by chance");
+            assert_eq!(source.generation(), 1, "factor {factor}: replaced once");
+            assert_eq!(stats.replacements, 1);
+            // Every discard but the two that ended a run re-locked.
+            assert_eq!(stats.requarantines, discarded - 2);
+            assert!(stats.alarms >= discarded);
         }
     }
 

@@ -5,9 +5,16 @@
 //! output. When a data transition falls inside the flip-flop's
 //! setup/hold window the output is metastable and resolves randomly —
 //! modelled here as a fair coin, the conventional simplification.
+//!
+//! Two walks apply one sampling rule. [`Sampler::sample_trace_until`]
+//! reads a recorded [`Trace`]; [`Sampler::sample_surrogate`] reads a
+//! surrogate's edges as they are drawn and stores none of them. Both
+//! decide an instant from the last transition before it and the first
+//! at or after it, so they agree bit for bit on the same waveform.
 
+use strent_rings::surrogate::SurrogateStream;
 use strent_rings::RingError;
-use strent_sim::{SimRng, Time, Trace};
+use strent_sim::{Bit, SimRng, Time, Trace};
 
 use crate::bits::BitString;
 use crate::error::TrngError;
@@ -113,79 +120,252 @@ impl Sampler {
         valid_until: Time,
         rng: &mut SimRng,
     ) -> Result<BitString, TrngError> {
-        let last_needed = t0 + self.period_ps * count as f64;
         let trace_end = trace
             .transitions()
             .last()
             .map_or(Time::ZERO, |&(t, _)| t)
             .max(valid_until);
-        if trace_end < last_needed {
-            return Err(TrngError::Ring(RingError::HorizonExceeded {
-                collected: ((trace_end - t0) / self.period_ps).max(0.0) as usize,
-                requested: count,
-            }));
-        }
+        self.check_horizon(t0, count, trace_end)?;
         // The sample instants only increase, so one forward cursor over
         // the (time-sorted) transitions replaces a binary search per
         // sample. `next` counts the transitions strictly before `t`.
         let transitions = trace.transitions();
-        let half = self.meta_window_ps / 2.0;
         let mut next = transitions.partition_point(|&(tt, _)| tt < t0);
         let mut bits = BitString::with_capacity(count);
         for k in 1..=count {
-            let t = t0 + self.period_ps * k as f64;
+            let t = self.instant(t0, k);
             while transitions.get(next).is_some_and(|&(tt, _)| tt < t) {
                 next += 1;
             }
             let before = next.checked_sub(1).map(|j| transitions[j]);
             let after = transitions.get(next).copied();
-            if after.is_some_and(|(tt, _)| tt == t) {
-                // An instant exactly on a transition reads through the
-                // binary-search path, so ties resolve as they always have.
-                bits.push(self.sample_at_tie(trace, t, rng));
-                continue;
-            }
-            let metastable = self.meta_window_ps > 0.0
-                && (before.is_some_and(|(tt, _)| t - tt <= half)
-                    || after.is_some_and(|(tt, _)| tt - t <= half));
-            if metastable {
-                bits.push_bool(rng.bernoulli(0.5));
-            } else {
-                bits.push(before.map_or(trace.initial(), |(_, v)| v).into());
-            }
+            // Coincident transitions exactly at `t` read through the
+            // binary search, so such ties resolve as they always have.
+            let bit = self.read(t, before, after, trace.initial(), || trace.value_at(t), rng);
+            bits.push_bool(bit);
         }
         Ok(bits)
     }
 
-    /// One sample at an instant `t` that equals a recorded transition
-    /// time: the per-sample binary-search form of the sampler.
-    fn sample_at_tie(&self, trace: &Trace, t: Time, rng: &mut SimRng) -> u8 {
-        if self.meta_window_ps > 0.0 && self.near_transition(trace, t) {
-            u8::from(rng.bernoulli(0.5))
+    /// The simulation horizon a batch of `count` samples from `t0`
+    /// needs, ps: past the last sample instant by the metastability
+    /// window, so no transition emitted later can straddle a sample.
+    #[must_use]
+    pub fn batch_horizon_ps(&self, t0: Time, count: usize) -> f64 {
+        t0.as_ps() + self.period_ps * count as f64 + self.meta_window_ps
+    }
+
+    /// Samples `count` bits from `t0` straight off a surrogate's period
+    /// generator: each period's edges resolve the sample instants they
+    /// decide as they are emitted, and are never stored.
+    ///
+    /// Bits, metastability coins and the stream's final state equal,
+    /// for any call granularity, those of the trace sequence
+    ///
+    /// ```text
+    /// advance_by(batch_horizon_ps(t0, count) - now)   (skipped when now >= the horizon)
+    /// sample_trace_until(trace, t0, count, now, rng)
+    /// ```
+    ///
+    /// Afterwards the stream's trace holds every transition at or after
+    /// the last sample instant plus the one before it (see
+    /// [`SurrogateStream::advance_streaming`]), so the next batch and a
+    /// re-lock window read the same edges as after the trace sequence.
+    ///
+    /// # Errors
+    ///
+    /// The trace sequence's [`RingError::HorizonExceeded`]; `rng` is
+    /// then left as it was.
+    pub fn sample_surrogate(
+        &self,
+        stream: &mut SurrogateStream,
+        t0: Time,
+        count: usize,
+        rng: &mut SimRng,
+    ) -> Result<BitString, TrngError> {
+        let last = self.instant(t0, count);
+        let needed_ps = self.batch_horizon_ps(t0, count);
+        let rng_at_start = rng.clone();
+        let mut walk = EdgeWalk::new(self, t0, count, stream.trace().initial(), rng);
+        // Stored transitions first (a re-lock window or an earlier
+        // batch's tail), from the last one before `t0`.
+        let stored = stream.trace().transitions();
+        let first = stored.partition_point(|&(tt, _)| tt < t0).saturating_sub(1);
+        for &(at, level) in &stored[first..] {
+            walk.edge(at, level);
+        }
+        let now_ps = stream.now().as_ps();
+        if now_ps < needed_ps {
+            stream.advance_streaming(needed_ps - now_ps, last, |rise, fall| {
+                walk.period(rise, fall);
+            });
         } else {
-            trace.value_at(t).into()
+            stream.retain_from(last);
+        }
+        let trace_end = walk.before.map_or(Time::ZERO, |(t, _)| t).max(stream.now());
+        if let Err(e) = self.check_horizon(t0, count, trace_end) {
+            *rng = rng_at_start;
+            return Err(e);
+        }
+        Ok(walk.finish())
+    }
+
+    /// Instant of sample `k` (1-based) of a batch starting at `t0`.
+    #[inline]
+    fn instant(&self, t0: Time, k: usize) -> Time {
+        t0 + self.period_ps * k as f64
+    }
+
+    /// Fails when the waveform, defined up to `trace_end`, stops short
+    /// of the last of `count` sample instants from `t0`.
+    fn check_horizon(&self, t0: Time, count: usize, trace_end: Time) -> Result<(), TrngError> {
+        if trace_end < self.instant(t0, count) {
+            return Err(TrngError::Ring(RingError::HorizonExceeded {
+                collected: ((trace_end - t0) / self.period_ps).max(0.0) as usize,
+                requested: count,
+            }));
+        }
+        Ok(())
+    }
+
+    /// What the flip-flop reads at sample instant `t` — the one
+    /// sampling rule both walks share. `before` is the last transition
+    /// strictly before `t` (`held` is the level when there is none),
+    /// `after` the first at or after it (`None` on the flat tail past
+    /// the final edge); `tie_level` gives the level at `t` when `after`
+    /// falls exactly on it.
+    ///
+    /// With a metastability window, an instant on a transition, or
+    /// within half the window of one, reads a fair coin from `rng`;
+    /// otherwise the level held since `before`.
+    #[inline]
+    fn read(
+        &self,
+        t: Time,
+        before: Option<(Time, Bit)>,
+        after: Option<(Time, Bit)>,
+        held: Bit,
+        tie_level: impl FnOnce() -> Bit,
+        rng: &mut SimRng,
+    ) -> bool {
+        let windowed = self.meta_window_ps > 0.0;
+        if after.is_some_and(|(tt, _)| tt == t) {
+            return if windowed {
+                rng.bernoulli(0.5)
+            } else {
+                tie_level().into()
+            };
+        }
+        let half = self.meta_window_ps / 2.0;
+        let metastable = windowed
+            && (before.is_some_and(|(tt, _)| t - tt <= half)
+                || after.is_some_and(|(tt, _)| tt - t <= half));
+        if metastable {
+            rng.bernoulli(0.5)
+        } else {
+            before.map_or(held, |(_, v)| v).into()
+        }
+    }
+}
+
+/// A batch's sample instants, resolved in order as a waveform's
+/// transitions arrive in time order: an instant is decided by the first
+/// transition at or after it, so no transition need be kept but the
+/// latest.
+struct EdgeWalk<'a> {
+    sampler: &'a Sampler,
+    t0: Time,
+    count: usize,
+    /// The next undecided sample (1-based) and its instant, ps (infinite
+    /// once all are decided).
+    k: usize,
+    next_ps: f64,
+    /// The latest transition seen; every undecided instant lies after it.
+    before: Option<(Time, Bit)>,
+    held: Bit,
+    bits: BitString,
+    rng: &'a mut SimRng,
+}
+
+impl<'a> EdgeWalk<'a> {
+    fn new(sampler: &'a Sampler, t0: Time, count: usize, held: Bit, rng: &'a mut SimRng) -> Self {
+        let mut walk = EdgeWalk {
+            sampler,
+            t0,
+            count,
+            k: 0,
+            next_ps: 0.0,
+            before: None,
+            held,
+            bits: BitString::with_capacity(count),
+            rng,
+        };
+        walk.step();
+        walk
+    }
+
+    /// Moves to the next sample instant.
+    #[inline]
+    fn step(&mut self) {
+        self.k += 1;
+        self.next_ps = if self.k <= self.count {
+            self.sampler.instant(self.t0, self.k).as_ps()
+        } else {
+            f64::INFINITY
+        };
+    }
+
+    /// Takes the next transition, deciding every instant at or before it.
+    #[inline]
+    fn edge(&mut self, at: Time, level: Bit) {
+        if at.as_ps() >= self.next_ps {
+            self.decide_through(at, level);
+        }
+        self.before = Some((at, level));
+    }
+
+    /// Takes the next period's rising and falling edges.
+    #[inline]
+    fn period(&mut self, rise: Time, fall: Time) {
+        if fall.as_ps() >= self.next_ps {
+            self.decide_through(rise, Bit::High);
+            self.before = Some((rise, Bit::High));
+            self.decide_through(fall, Bit::Low);
+        }
+        self.before = Some((fall, Bit::Low));
+    }
+
+    /// Decides the instants at or before the transition `(at, level)`.
+    #[inline(never)]
+    fn decide_through(&mut self, at: Time, level: Bit) {
+        while at.as_ps() >= self.next_ps {
+            // The surrogate's transitions strictly increase, so `at` is
+            // the only transition on a tie and sets the level there.
+            let t = Time::from_ps(self.next_ps);
+            let bit = self.sampler.read(
+                t,
+                self.before,
+                Some((at, level)),
+                self.held,
+                || level,
+                self.rng,
+            );
+            self.bits.push_bool(bit);
+            self.step();
         }
     }
 
-    /// Whether any data transition falls within the metastability window
-    /// of the sample instant `t`.
-    fn near_transition(&self, trace: &Trace, t: Time) -> bool {
-        let half = self.meta_window_ps / 2.0;
-        trace
-            .transitions()
-            .binary_search_by(|&(tt, _)| tt.cmp(&t))
-            .map(|_| true)
-            .unwrap_or_else(|i| {
-                let before = i
-                    .checked_sub(1)
-                    .and_then(|j| trace.transitions().get(j))
-                    .is_some_and(|&(tt, _)| (t - tt).abs() <= half);
-                let after = trace
-                    .transitions()
-                    .get(i)
-                    .is_some_and(|&(tt, _)| (tt - t).abs() <= half);
-                before || after
-            })
+    /// Decides the instants past the final transition (the flat tail).
+    fn finish(mut self) -> BitString {
+        while self.k <= self.count {
+            let t = Time::from_ps(self.next_ps);
+            let bit = self
+                .sampler
+                .read(t, self.before, None, self.held, || self.held, self.rng);
+            self.bits.push_bool(bit);
+            self.step();
+        }
+        self.bits
     }
 }
 
@@ -193,7 +373,7 @@ impl Sampler {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use strent_sim::{Bit, RngTree};
+    use strent_sim::RngTree;
 
     /// The reference sampler: the per-sample binary-search loop
     /// (`near_transition` plus `Trace::value_at` at every instant) that
@@ -222,13 +402,34 @@ mod tests {
         let mut bits = BitString::with_capacity(count);
         for k in 1..=count {
             let t = t0 + sampler.period_ps * k as f64;
-            if sampler.meta_window_ps > 0.0 && sampler.near_transition(trace, t) {
+            if sampler.meta_window_ps > 0.0 && near_transition(sampler, trace, t) {
                 bits.push_bool(rng.bernoulli(0.5));
             } else {
                 bits.push(trace.value_at(t).into());
             }
         }
         Ok(bits)
+    }
+
+    /// Whether any data transition falls within the metastability
+    /// window of the sample instant `t`, by binary search.
+    fn near_transition(sampler: &Sampler, trace: &Trace, t: Time) -> bool {
+        let half = sampler.meta_window_ps / 2.0;
+        trace
+            .transitions()
+            .binary_search_by(|&(tt, _)| tt.cmp(&t))
+            .map(|_| true)
+            .unwrap_or_else(|i| {
+                let before = i
+                    .checked_sub(1)
+                    .and_then(|j| trace.transitions().get(j))
+                    .is_some_and(|&(tt, _)| (t - tt).abs() <= half);
+                let after = trace
+                    .transitions()
+                    .get(i)
+                    .is_some_and(|&(tt, _)| (tt - t).abs() <= half);
+                before || after
+            })
     }
 
     /// An alternating trace from a start level, a first instant and
